@@ -20,44 +20,25 @@ void NvmfInitiator::init_telemetry() {
 #if OAF_TELEMETRY_COMPILED
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("init:" + opts_.connection_name);
-  tel_.anomaly_track =
-      telemetry::anomaly().track("init:" + opts_.connection_name);
   tel_.ios = m.counter("oaf_initiator_ios_completed_total",
                        "I/Os completed by initiators in this process");
   tel_.latency = m.histogram("oaf_initiator_io_latency_ns",
                              "End-to-end per-I/O latency in nanoseconds");
-  tel_.reconnects =
-      m.counter("oaf_initiator_reconnects_total",
-                "Successful association re-establishments");
-  tel_.reconnect_failures =
-      m.counter("oaf_initiator_reconnect_failures_total",
-                "Reconnect dial/handshake attempts that failed");
-  tel_.retried = m.counter("oaf_initiator_commands_retried_total",
-                           "Commands replayed after faults");
-  tel_.ka_sent = m.counter("oaf_initiator_keepalive_sent_total",
-                           "Keep-alive PDUs sent");
-  tel_.ka_misses = m.counter("oaf_initiator_keepalive_misses_total",
-                             "Keep-alive intervals with no peer traffic");
-  tel_.digest_errors = m.counter("oaf_initiator_digest_errors_total",
-                                 "Data digest mismatches detected");
-  tel_.deadlines = m.counter("oaf_initiator_deadlines_expired_total",
-                             "Per-command deadlines that expired");
-  tel_.aborts_sent =
-      m.counter("oaf_initiator_aborts_sent_total", "NVMe Aborts sent");
-  tel_.aborts_ok = m.counter("oaf_initiator_aborts_succeeded_total",
-                             "NVMe Aborts acknowledged by the target");
-  tel_.aborts_failed = m.counter("oaf_initiator_aborts_failed_total",
-                                 "NVMe Aborts that timed out");
-  tel_.cmds_aborted = m.counter("oaf_initiator_commands_aborted_total",
-                                "Commands completed as aborted");
-  tel_.ana_changes = m.counter("oaf_initiator_ana_changes_total",
-                               "ANA path-state transitions applied");
-  tel_.queue_full = m.counter("oaf_initiator_queue_full_total",
-                              "kQueueFull backpressure completions received");
-  tel_.admission_rejects =
-      m.counter("oaf_initiator_admission_rejects_total",
-                "Handshakes the target answered with admitted=false");
+  for (size_t i = 0; i < kResilienceEventCount; ++i) {
+    const ResilienceEventInfo& ev = kResilienceEvents[i];
+    if (ev.metric != nullptr) tel_.events[i] = m.counter(ev.metric, ev.help);
+  }
 #endif
+}
+
+void NvmfInitiator::note(ResilienceEvent e, u64 id) {
+  (void)id;
+  const ResilienceEventInfo& ev = kResilienceEvents[static_cast<size_t>(e)];
+  counters_.*ev.field += 1;
+  OAF_TEL(telemetry::bump(tel_.events[static_cast<size_t>(e)]));
+  if (ev.trace_name == nullptr) return;
+  OAF_TEL(telemetry::tracer().instant(tel_.track, ev.trace_cat, ev.trace_name,
+                                      id, exec_.now()));
 }
 
 void NvmfInitiator::trace_end_span(const Pending& p) {
@@ -65,9 +46,6 @@ void NvmfInitiator::trace_end_span(const Pending& p) {
   OAF_TEL(telemetry::tracer().end(tel_.track, "init_io",
                                   op_span_name(p.cmd.opcode), p.generation,
                                   exec_.now()));
-  OAF_TEL(telemetry::anomaly().ring().end(tel_.anomaly_track, "init_io",
-                                          op_span_name(p.cmd.opcode),
-                                          p.generation, exec_.now()));
 }
 
 NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel& control,
@@ -196,8 +174,8 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
     case pdu::PduType::kC2HTermReq:
       OAF_WARN("initiator received TermReq: %s",
                pdu.as<pdu::TermReq>()->reason.c_str());
-      telemetry::flight().note("resilience", "termreq_received", 0,
-                               exec_.now());
+      OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
+                                          "termreq_received", 0, exec_.now()));
       telemetry::flight().dump_now("received TermReq from target");
       control_->close();
       recover("target terminated association");
@@ -206,9 +184,7 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
       // Target-initiated demotion (its fencing caught a protocol violation):
       // stop producing into the ring; parked transfers drain as usual.
       if (ep_.demote_shm()) {
-        counters_.shm_demotions++;
-        OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                            "shm_demote", 0, exec_.now()));
+        note(ResilienceEvent::shm_demotions);
         OAF_WARN("initiator: target demoted shm (%s)",
                  pdu.as<pdu::ShmDemote>()->reason.c_str());
         fire_event(PathEvent::kShmDemoted);
@@ -226,13 +202,7 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
       ana_change_seq_ = log.change_seq;
       if (log.state == ana_state_) break;
       ana_state_ = log.state;
-      counters_.ana_changes++;
-      OAF_TEL(telemetry::bump(tel_.ana_changes));
-      OAF_TEL(telemetry::tracer().instant(tel_.track, "multipath",
-                                          "ana_change", log.change_seq,
-                                          exec_.now()));
-      telemetry::flight().note("multipath", "ana_change", log.change_seq,
-                               exec_.now());
+      note(ResilienceEvent::ana_changes, log.change_seq);
       OAF_WARN("initiator %s: ana -> %s (%s)", opts_.connection_name.c_str(),
                pdu::to_string(log.state), log.reason.c_str());
       fire_event(PathEvent::kAnaChanged);
@@ -250,15 +220,12 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
     // Connect-time admission rejection (DESIGN.md §12): the target is over
     // its connection cap. This is retryable overload, not a fault — back
     // off at least as long as the target's retry-after hint and re-dial.
-    counters_.admission_rejects++;
-    OAF_TEL(telemetry::bump(tel_.admission_rejects));
-    telemetry::flight().note("overload", "admission_rejected", 0, exec_.now());
+    note(ResilienceEvent::admission_rejects);
     OAF_WARN("initiator: connect rejected by target (%s), retry-after %u ms",
              resp.reject_reason.c_str(), resp.retry_after_ms);
     control_->close();
     if (reconnecting_) {
-      counters_.reconnect_failures++;
-      OAF_TEL(telemetry::bump(tel_.reconnect_failures));
+      note(ResilienceEvent::reconnect_failures);
       const u32 next = reconnect_attempt_ + 1;
       if (next > opts_.reconnect.max_attempts) {
         abort_connection("connect admission rejected");
@@ -315,18 +282,14 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
   const bool was_reconnect = reconnecting_;
   reconnecting_ = false;
   if (was_reconnect) {
-    counters_.reconnects++;
-    OAF_TEL(telemetry::bump(tel_.reconnects));
-    OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                        "reconnected", 0, exec_.now()));
+    note(ResilienceEvent::reconnects);
     // Replay harvested in-flight commands first so they re-enter the queue
     // ahead of commands that were still waiting — the original submission
     // order is preserved.
     std::deque<Pending> replay;
     replay.swap(replay_);
     for (auto& p : replay) {
-      counters_.commands_retried++;
-      OAF_TEL(telemetry::bump(tel_.retried));
+      note(ResilienceEvent::commands_retried, p.generation);
       submit_or_queue(std::move(p));
     }
     drain_queue();
@@ -377,7 +340,6 @@ void NvmfInitiator::recover(const char* reason) {
   OAF_WARN("initiator: recovering connection (%s)", reason);
   OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "recover", 0,
                                       exec_.now()));
-  telemetry::flight().note("resilience", "recover", 0, exec_.now());
   reconnecting_ = true;
   connected_ = false;
   // Announce before harvesting: a PathGroup must mark this path ineligible
@@ -455,8 +417,7 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
     // Dial failed (e.g. the target is still down); burn the attempt and
     // back off again. The previous channel stays in place so control_
     // remains valid.
-    counters_.reconnect_failures++;
-    OAF_TEL(telemetry::bump(tel_.reconnect_failures));
+    note(ResilienceEvent::reconnect_failures);
     schedule_reconnect(attempt + 1);
     return;
   }
@@ -476,8 +437,7 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
         exec_serial_.assume_held();
         if (!*alive || dead_ || !reconnecting_) return;
         if (epoch != handshake_epoch_) return;  // ICResp arrived in time
-        counters_.reconnect_failures++;
-        OAF_TEL(telemetry::bump(tel_.reconnect_failures));
+        note(ResilienceEvent::reconnect_failures);
         control_->close();
         schedule_reconnect(attempt + 1);
       });
@@ -485,10 +445,7 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
 
 void NvmfInitiator::demote_shm(const std::string& reason) {
   if (!ep_.demote_shm()) return;
-  counters_.shm_demotions++;
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "shm_demote",
-                                      0, exec_.now()));
-  telemetry::flight().note("resilience", "shm_demote", 0, exec_.now());
+  note(ResilienceEvent::shm_demotions);
   OAF_WARN("initiator: demoting shm data path (%s)", reason.c_str());
   pdu::ShmDemote demote;
   demote.reason = reason;
@@ -521,8 +478,7 @@ void NvmfInitiator::keepalive_tick() {
   }
   if (connected_ && !reconnecting_) {
     if (ka_outstanding_) {
-      counters_.keepalive_misses++;
-      OAF_TEL(telemetry::bump(tel_.ka_misses));
+      note(ResilienceEvent::keepalive_misses);
       ka_misses_++;
       if (ka_misses_ >= opts_.reconnect.keepalive_miss_limit) {
         ka_misses_ = 0;
@@ -541,8 +497,7 @@ void NvmfInitiator::keepalive_tick() {
     Pdu pdu;
     pdu.header = ka;
     control_->send(std::move(pdu));
-    counters_.keepalive_sent++;
-    OAF_TEL(telemetry::bump(tel_.ka_sent));
+    note(ResilienceEvent::keepalive_sent, ka.seq);
     ka_outstanding_ = true;
   }
   schedule_keepalive();
@@ -570,13 +525,7 @@ void NvmfInitiator::on_deadline(u16 cid, u64 generation) {
   }
   if (cid >= inflight_.size() || !slot_busy_[cid]) return;
   if (inflight_[cid].generation != generation) return;
-  counters_.deadlines_expired++;
-  OAF_TEL(telemetry::bump(tel_.deadlines));
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                      "deadline_expired", generation,
-                                      exec_.now()));
-  telemetry::flight().note("resilience", "deadline_expired", generation,
-                           exec_.now());
+  note(ResilienceEvent::deadlines_expired, generation);
   timeouts_++;
   if (!opts_.escalation.enabled() || reconnecting_) {
     // Legacy semantics: a deadline expiry is a transport fault.
@@ -599,12 +548,7 @@ void NvmfInitiator::send_abort(u16 victim_cid) {
   p.abort_attempts++;
   const u16 acid = alloc_abort_cid();
   aborts_[acid] = AbortCtx{victim_cid, p.generation, p.gen};
-  counters_.aborts_sent++;
-  OAF_TEL(telemetry::bump(tel_.aborts_sent));
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "abort_sent",
-                                      p.generation, exec_.now()));
-  telemetry::flight().note("resilience", "abort_sent", p.generation,
-                           exec_.now());
+  note(ResilienceEvent::aborts_sent, p.generation);
   OAF_WARN_RL("initiator: aborting stuck cid %u (attempt %u/%u, abort cid %u)",
            victim_cid, p.abort_attempts, opts_.escalation.abort_budget, acid);
   pdu::CapsuleCmd capsule;
@@ -623,8 +567,7 @@ void NvmfInitiator::on_abort_timeout(u16 abort_cid) {
   if (it == aborts_.end()) return;
   const AbortCtx a = it->second;
   aborts_.erase(it);
-  counters_.aborts_failed++;
-  OAF_TEL(telemetry::bump(tel_.aborts_failed));
+  note(ResilienceEvent::aborts_failed, a.victim_generation);
   consecutive_abort_failures_++;
   // Aborts ride the control channel. If they keep dying while shm is up,
   // suspect the fast path first and demote before burning the connection.
@@ -650,8 +593,7 @@ void NvmfInitiator::on_abort_resp(u16 abort_cid, const pdu::CapsuleResp& resp) {
   aborts_.erase(abort_cid);
   wheel_.cancel(abort_cid);
   consecutive_abort_failures_ = 0;
-  counters_.aborts_succeeded++;
-  OAF_TEL(telemetry::bump(tel_.aborts_ok));
+  note(ResilienceEvent::aborts_succeeded, a.victim_generation);
   const bool victim_live = a.victim_cid < inflight_.size() &&
                            slot_busy_[a.victim_cid] &&
                            inflight_[a.victim_cid].generation ==
@@ -675,7 +617,7 @@ void NvmfInitiator::on_abort_resp(u16 abort_cid, const pdu::CapsuleResp& resp) {
 
 void NvmfInitiator::note_shm_consume_failure(const Status& st) {
   if (st.code() != StatusCode::kPeerMisbehavior) return;
-  counters_.peer_misbehavior++;
+  note(ResilienceEvent::peer_misbehavior);
   demote_shm("shm slot protocol violation on consume");
 }
 
@@ -694,7 +636,8 @@ void NvmfInitiator::abort_connection(const char* reason) {
   // Escalation-ladder exhaustion / fatal teardown: capture the black box
   // before in-flight state is failed out (no-op unless flight().install()
   // armed dumping).
-  telemetry::flight().note("resilience", "abort_connection", 0, exec_.now());
+  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
+                                      "abort_connection", 0, exec_.now()));
   telemetry::flight().dump_now(reason);
   // NVMe-oF error recovery past the reconnect budget is controller-scoped:
   // terminate the association and fail everything in flight. A late
@@ -801,9 +744,6 @@ void NvmfInitiator::start_command(u16 cid) {
                                     op_span_name(p.cmd.opcode), p.generation,
                                     p.submit_time, "bytes",
                                     static_cast<i64>(p.data_len)));
-  OAF_TEL(telemetry::anomaly().ring().begin(
-      tel_.anomaly_track, "init_io", op_span_name(p.cmd.opcode), p.generation,
-      p.submit_time, "bytes", static_cast<i64>(p.data_len)));
   governor_.record_op(p.cmd.is_write());
   arm_timeout(cid);
   switch (p.cmd.opcode) {
@@ -847,10 +787,6 @@ void NvmfInitiator::send_capsule(u16 cid, bool in_capsule,
   OAF_TEL(telemetry::tracer().instant(
       tel_.track, "init_io", in_capsule ? "capsule_sent" : "capsule_sent_r2t",
       p.generation, exec_.now(), "bytes", static_cast<i64>(p.data_len)));
-  OAF_TEL(telemetry::anomaly().ring().instant(
-      tel_.anomaly_track, "init_io",
-      in_capsule ? "capsule_sent" : "capsule_sent_r2t", p.generation,
-      exec_.now(), "bytes", static_cast<i64>(p.data_len)));
   control_->send(std::move(pdu));
 }
 
@@ -915,10 +851,6 @@ void NvmfInitiator::on_r2t(const pdu::R2T& r2t) {
   OAF_TEL(telemetry::tracer().instant(tel_.track, "init_io", "r2t",
                                       p.generation, exec_.now(), "bytes",
                                       static_cast<i64>(r2t.length)));
-  OAF_TEL(telemetry::anomaly().ring().instant(tel_.anomaly_track, "init_io",
-                                              "r2t", p.generation, exec_.now(),
-                                              "bytes",
-                                              static_cast<i64>(r2t.length)));
   if (ep_.shm_ready()) {
     // Conservative flow on shm (pre-optimization design): the granted
     // window moves through the slot one maxh2cdata chunk at a time, each
@@ -1080,8 +1012,7 @@ void NvmfInitiator::on_c2h(Pdu pdu) {
     const u32 computed = pdu::crc32c(
         std::span<const u8>(pdu.payload.data(), pdu.payload.size()));
     if (computed != c2h.data_digest) {
-      counters_.digest_errors++;
-      OAF_TEL(telemetry::bump(tel_.digest_errors));
+      note(ResilienceEvent::digest_errors, p.generation);
       OAF_WARN_RL("C2HData digest mismatch for cid %u", cid);
       complete(cid, {cid, pdu::NvmeStatus::kTransientTransportError, 0}, 0, 0);
       return;
@@ -1133,25 +1064,16 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
     // data-digest mismatch): replay in place on the same cid. A fresh gen
     // tag fences any PDU still in flight from the failed attempt.
     trace_end_span(p);
-    OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "retry",
-                                        p.generation, exec_.now()));
-    OAF_TEL(telemetry::anomaly().ring().instant(tel_.anomaly_track,
-                                                "resilience", "retry",
-                                                p.generation, exec_.now()));
+    note(ResilienceEvent::commands_retried, p.generation);
     // Close the failed attempt's wire phase; start_command reopens kEncode.
     p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
     p.attempts++;
     p.bytes_received = 0;
-    counters_.commands_retried++;
-    OAF_TEL(telemetry::bump(tel_.retried));
     start_command(cid);
     return;
   }
   if (cpl.status == pdu::NvmeStatus::kQueueFull) {
-    counters_.queue_full_received++;
-    OAF_TEL(telemetry::bump(tel_.queue_full));
-    telemetry::flight().note("overload", "queue_full_received", cid,
-                             exec_.now());
+    note(ResilienceEvent::queue_full_received, p.generation);
     // Raise the congestion window on every reject — including those that
     // surface to the caller (zero-copy commands are not replayed in place):
     // congested() is how producers that manage their own buffers learn to
@@ -1168,17 +1090,11 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
       // as reconnects) and resubmit in place; meanwhile congested() tells
       // drivers to stop offering new work.
       trace_end_span(p);
-      OAF_TEL(telemetry::tracer().instant(tel_.track, "overload",
-                                          "queue_full_backoff", p.generation,
-                                          exec_.now()));
-      OAF_TEL(telemetry::anomaly().ring().instant(
-          tel_.anomaly_track, "overload", "queue_full_backoff", p.generation,
-          exec_.now()));
+      note(ResilienceEvent::queue_full_retries, p.generation);
       // The backoff window is off-path time; kDetour accrues until resubmit.
       p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
       p.attempts++;
       p.bytes_received = 0;
-      counters_.queue_full_retries++;
       // Park the deadline for the backoff window — the command is not on
       // the wire, so an expiry here would escalate (abort) a command the
       // target no longer has. start_command re-arms on resubmit.
@@ -1203,10 +1119,7 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
   }
   trace_end_span(p);
   if (cpl.status == pdu::NvmeStatus::kAbortedByRequest) {
-    counters_.commands_aborted++;
-    OAF_TEL(telemetry::bump(tel_.cmds_aborted));
-    OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "aborted",
-                                        p.generation, exec_.now()));
+    note(ResilienceEvent::commands_aborted, p.generation);
   }
   IoResult res;
   res.cpl = cpl;

@@ -10,6 +10,7 @@
 // free. Requests beyond the queue depth are queued internally.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -444,30 +445,18 @@ class NvmfInitiator : public IoSession {
       OAF_GUARDED_BY(exec_serial_) = 0;  // invalidates fetch-timeout callback
   telemetry::AnomalyContext anomaly_ctx_ OAF_GUARDED_BY(exec_serial_);
 
-  /// Cached process-global telemetry handles (DESIGN.md §9). Counters mirror
-  /// `counters_` so the resilience ladder exports uniformly; the trace track
-  /// is this connection's initiator lane. All null / zero when telemetry is
-  /// compiled out.
+  /// Cached process-global telemetry handles (DESIGN.md §9): this
+  /// connection's trace lane and one registry counter per resilience event.
+  /// All null / zero when telemetry is compiled out.
   struct Tel {
     u32 track = 0;
-    u32 anomaly_track = 0;  ///< lane in the always-on anomaly ring
     telemetry::Counter* ios = nullptr;
     telemetry::HistogramMetric* latency = nullptr;
-    telemetry::Counter* reconnects = nullptr;
-    telemetry::Counter* reconnect_failures = nullptr;
-    telemetry::Counter* retried = nullptr;
-    telemetry::Counter* ka_sent = nullptr;
-    telemetry::Counter* ka_misses = nullptr;
-    telemetry::Counter* digest_errors = nullptr;
-    telemetry::Counter* deadlines = nullptr;
-    telemetry::Counter* aborts_sent = nullptr;
-    telemetry::Counter* aborts_ok = nullptr;
-    telemetry::Counter* aborts_failed = nullptr;
-    telemetry::Counter* cmds_aborted = nullptr;
-    telemetry::Counter* ana_changes = nullptr;
-    telemetry::Counter* queue_full = nullptr;
-    telemetry::Counter* admission_rejects = nullptr;
+    std::array<telemetry::Counter*, kResilienceEventCount> events{};
   } tel_;
+  /// Record one resilience event from its OAF_RESILIENCE_EVENTS row: the
+  /// counters_ field, the registry counter and one trace instant.
+  void note(ResilienceEvent e, u64 id = 0) OAF_REQUIRES(exec_serial_);
   void init_telemetry() OAF_REQUIRES(exec_serial_);
   void fire_event(PathEvent e) OAF_REQUIRES(exec_serial_) {
     if (event_handler_) event_handler_(e);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "telemetry/flight.h"
 
 namespace oaf::nvmf {
 
@@ -142,7 +141,8 @@ void PathGroup::dispatch(u64 gseq) {
       ios_completed_++;
       park_overflows_++;
       OAF_TEL(telemetry::bump(tel_.park_overflow));
-      telemetry::flight().note("overload", "park_overflow", gseq, exec_.now());
+      OAF_TEL(telemetry::tracer().instant(tel_.track, "overload",
+                                          "park_overflow", gseq, exec_.now()));
       OAF_WARN_RL("pathgroup %s: parked queue full (%zu), failing fast",
                   opts_.name.c_str(), parked_.size());
       IoResult res;
@@ -216,8 +216,6 @@ void PathGroup::finish_path_accounting(const GroupCmd& cmd) {
   if (displaced_ > 0 && !eligible(slot)) {
     displaced_--;
     if (displaced_ == 0) {
-      telemetry::flight().note("multipath", "failover_complete",
-                               failover_redrives_, exec_.now());
       OAF_TEL(telemetry::tracer().instant(
           tel_.track, "multipath", "failover_complete", failover_redrives_,
           exec_.now(), "redrives", static_cast<i64>(failover_redrives_)));
@@ -227,12 +225,12 @@ void PathGroup::finish_path_accounting(const GroupCmd& cmd) {
 }
 
 void PathGroup::note_redrive(u64 gseq, GroupCmd& cmd) {
+  (void)gseq;  // only the trace instant reads it
   cmd.redrives++;
   cmd.detour_start = exec_.now();
   redrives_++;
   failover_redrives_++;
   OAF_TEL(telemetry::bump(tel_.redrives));
-  telemetry::flight().note("multipath", "redrive", gseq, exec_.now());
   OAF_TEL(telemetry::tracer().instant(tel_.track, "multipath", "redrive",
                                       gseq, exec_.now()));
 }
@@ -295,8 +293,6 @@ void PathGroup::on_path_event(u32 path_index, NvmfInitiator::PathEvent e) {
     failovers_++;
     OAF_TEL(telemetry::bump(tel_.failovers));
     displaced_ += slot.inflight;
-    telemetry::flight().note("multipath", "failover_start", slot.inflight,
-                             exec_.now());
     OAF_TEL(telemetry::tracer().instant(
         tel_.track, "multipath", "failover_start", path_index, exec_.now(),
         "inflight", static_cast<i64>(slot.inflight)));
@@ -304,8 +300,9 @@ void PathGroup::on_path_event(u32 path_index, NvmfInitiator::PathEvent e) {
              path_index, slot.inflight);
     if (slot.inflight == 0) {
       // Nothing was riding the path; the failover is instantaneous.
-      telemetry::flight().note("multipath", "failover_complete", 0,
-                               exec_.now());
+      OAF_TEL(telemetry::tracer().instant(tel_.track, "multipath",
+                                          "failover_complete", 0, exec_.now(),
+                                          "redrives", 0));
     }
   }
   slot.was_eligible = now_eligible;

@@ -6,7 +6,11 @@
 // backoff with deterministic jitter, per-command replay budget, keep-alive
 // cadence), and ResilienceCounters makes every recovery action observable
 // so benches and tests can assert "recovered" rather than "didn't crash".
+// Each counter is one row of OAF_RESILIENCE_EVENTS, which also names the
+// event's registry counter and trace instant.
 #pragma once
+
+#include <iterator>
 
 #include "common/types.h"
 
@@ -68,28 +72,92 @@ struct EscalationPolicy {
   [[nodiscard]] bool enabled() const { return abort_budget > 0; }
 };
 
-/// Recovery activity, exported by initiator and target stats and printed by
-/// tools/oaf_perf.
+/// The initiator's resilience events, declared once. Each row generates a
+/// ResilienceCounters field, its registry counter (name and HELP), the trace
+/// instant the event writes (category and name), and oaf_perf's --json key
+/// (the field name) and table label:
+///   X(field, metric, help, trace_cat, trace_name, label)
+/// A nullptr metric or trace name means another layer owns that record:
+/// af::AfEndpoint counts and traces shm demotions and fenced peer
+/// misbehavior once for both engines.
+#define OAF_RESILIENCE_EVENTS(X)                                               \
+  X(reconnects, "oaf_initiator_reconnects_total",                              \
+    "Successful association re-establishments", "resilience", "reconnected",   \
+    "reconnects")                                                              \
+  X(reconnect_failures, "oaf_initiator_reconnect_failures_total",              \
+    "Reconnect dial/handshake attempts that failed", "resilience",             \
+    "reconnect_failed", "reconnect failures")                                  \
+  X(commands_retried, "oaf_initiator_commands_retried_total",                  \
+    "Commands replayed after faults", "resilience", "retry",                   \
+    "commands retried")                                                        \
+  X(keepalive_sent, "oaf_initiator_keepalive_sent_total",                      \
+    "Keep-alive PDUs sent", "resilience", "keepalive_sent", "keepalives sent") \
+  X(keepalive_misses, "oaf_initiator_keepalive_misses_total",                  \
+    "Keep-alive intervals with no peer traffic", "resilience",                 \
+    "keepalive_miss", "keepalive misses")                                      \
+  X(shm_demotions, nullptr, nullptr, nullptr, nullptr, "shm demotions")        \
+  X(digest_errors, "oaf_initiator_digest_errors_total",                        \
+    "Data digest mismatches detected", "resilience", "digest_error",           \
+    "digest errors")                                                           \
+  X(deadlines_expired, "oaf_initiator_deadlines_expired_total",                \
+    "Per-command deadlines that expired", "resilience", "deadline_expired",    \
+    "deadlines expired")                                                       \
+  X(aborts_sent, "oaf_initiator_aborts_sent_total", "NVMe Aborts sent",        \
+    "resilience", "abort_sent", "aborts sent")                                 \
+  X(aborts_succeeded, "oaf_initiator_aborts_succeeded_total",                  \
+    "NVMe Aborts acknowledged by the target", "resilience", "abort_succeeded", \
+    "aborts succeeded")                                                        \
+  X(aborts_failed, "oaf_initiator_aborts_failed_total",                        \
+    "NVMe Aborts that timed out", "resilience", "abort_failed",                \
+    "aborts failed")                                                           \
+  X(commands_aborted, "oaf_initiator_commands_aborted_total",                  \
+    "Commands completed as aborted", "resilience", "aborted",                  \
+    "commands aborted")                                                        \
+  X(peer_misbehavior, nullptr, nullptr, nullptr, nullptr, "peer misbehavior")  \
+  X(ana_changes, "oaf_initiator_ana_changes_total",                            \
+    "ANA path-state transitions applied", "multipath", "ana_change",           \
+    "ana changes")                                                             \
+  X(queue_full_received, "oaf_initiator_queue_full_total",                     \
+    "kQueueFull backpressure completions received", "overload",                \
+    "queue_full_received", "queue-full received")                              \
+  X(queue_full_retries, nullptr, nullptr, "overload", "queue_full_backoff",    \
+    "queue-full retries")                                                      \
+  X(admission_rejects, "oaf_initiator_admission_rejects_total",                \
+    "Handshakes the target answered with admitted=false", "overload",          \
+    "admission_rejected", "admission rejects")
+
+/// Recovery activity, exported by initiator stats and printed by
+/// tools/oaf_perf. One u64 per OAF_RESILIENCE_EVENTS row.
 struct ResilienceCounters {
-  u64 reconnects = 0;          ///< successful re-handshakes
-  u64 reconnect_failures = 0;  ///< attempts that never saw ICResp
-  u64 commands_retried = 0;    ///< in-flight commands replayed after recovery
-  u64 keepalive_sent = 0;
-  u64 keepalive_misses = 0;    ///< ticks with the previous ping unanswered
-  u64 shm_demotions = 0;       ///< runtime shm -> TCP data-path demotions
-  u64 digest_errors = 0;       ///< CRC32C payload mismatches detected
-  // Command-lifetime escalation ladder (per-I/O deadlines + NVMe Abort).
-  u64 deadlines_expired = 0;   ///< per-command deadline wheel expiries
-  u64 aborts_sent = 0;         ///< Abort commands issued
-  u64 aborts_succeeded = 0;    ///< Abort responses received in time
-  u64 aborts_failed = 0;       ///< Aborts that themselves timed out
-  u64 commands_aborted = 0;    ///< victim commands completed as aborted
-  u64 peer_misbehavior = 0;    ///< shm protocol violations (fencing hits)
-  u64 ana_changes = 0;         ///< ANA state transitions applied (multipath)
-  // Overload backpressure (DESIGN.md §12).
-  u64 queue_full_received = 0;  ///< kQueueFull completions seen from the target
-  u64 queue_full_retries = 0;   ///< of those, replayed after a local backoff
-  u64 admission_rejects = 0;    ///< handshakes answered admitted=false
+#define OAF_X(field, ...) u64 field = 0;
+  OAF_RESILIENCE_EVENTS(OAF_X)
+#undef OAF_X
 };
+
+/// Names one OAF_RESILIENCE_EVENTS row.
+enum class ResilienceEvent : u8 {
+#define OAF_X(field, ...) field,
+  OAF_RESILIENCE_EVENTS(OAF_X)
+#undef OAF_X
+};
+
+struct ResilienceEventInfo {
+  u64 ResilienceCounters::*field;
+  const char* key;         ///< --json key: the field name
+  const char* metric;      ///< registry counter name, or nullptr
+  const char* help;        ///< registry HELP string
+  const char* trace_cat;   ///< category of the trace instant
+  const char* trace_name;  ///< name of the trace instant, or nullptr
+  const char* label;       ///< oaf_perf table row
+};
+
+/// The table, indexed by ResilienceEvent.
+inline constexpr ResilienceEventInfo kResilienceEvents[] = {
+#define OAF_X(field, metric, help, cat, name, label) \
+  {&ResilienceCounters::field, #field, metric, help, cat, name, label},
+    OAF_RESILIENCE_EVENTS(OAF_X)
+#undef OAF_X
+};
+inline constexpr size_t kResilienceEventCount = std::size(kResilienceEvents);
 
 }  // namespace oaf::nvmf

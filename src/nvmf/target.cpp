@@ -47,8 +47,6 @@ void NvmfTargetConnection::init_telemetry() {
 #if OAF_TELEMETRY_COMPILED
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("target:" + opts_.connection_name);
-  tel_.anomaly_track =
-      telemetry::anomaly().track("target:" + opts_.connection_name);
   tel_.commands = m.counter("oaf_target_commands_total",
                             "Commands fully served by target connections");
   tel_.r2ts = m.counter("oaf_target_r2ts_total",
@@ -82,9 +80,6 @@ void NvmfTargetConnection::trace_end_cmd(u16 cid) {
       telemetry::tracer().end(tel_.track, "target_io",
                               op_span_name(it->second.cmd.opcode),
                               it->second.span, exec_.now());
-      telemetry::anomaly().ring().end(tel_.anomaly_track, "target_io",
-                                      op_span_name(it->second.cmd.opcode),
-                                      it->second.span, exec_.now());
     }
   });
 }
@@ -145,7 +140,8 @@ void NvmfTargetConnection::on_pdu(Pdu pdu) {
       break;
     case pdu::PduType::kH2CTermReq:
       OAF_WARN("target received TermReq: %s", pdu.as<pdu::TermReq>()->reason.c_str());
-      telemetry::flight().note("resilience", "termreq_received", 0, exec_.now());
+      OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
+                                          "termreq_received", 0, exec_.now()));
       (void)telemetry::flight().dump_now("target received TermReq from host");
       control_.close();
       break;
@@ -165,7 +161,8 @@ void NvmfTargetConnection::on_icreq(const pdu::ICReq& req) {
     reject.admitted = false;
     reject.retry_after_ms = opts_.reject_retry_after_ms;
     reject.reject_reason = opts_.reject_reason;
-    telemetry::flight().note("overload", "connect_rejected", 0, exec_.now());
+    OAF_TEL(telemetry::tracer().instant(tel_.track, "overload",
+                                        "connect_rejected", 0, exec_.now()));
     OAF_WARN("target %s: rejecting connect (%s)",
              opts_.connection_name.c_str(), opts_.reject_reason.c_str());
     Pdu out;
@@ -238,7 +235,8 @@ void NvmfTargetConnection::reject_queue_full(u16 cid, u16 gen,
                                              const char* why) {
   queue_full_rejects_++;
   OAF_TEL(telemetry::bump(tel_.queue_full));
-  telemetry::flight().note("overload", "queue_full", cid, exec_.now());
+  OAF_TEL(telemetry::tracer().instant(tel_.track, "overload", "queue_full", cid,
+                                      exec_.now()));
   OAF_WARN_RL("target %s: kQueueFull for cid %u (%s)",
               opts_.connection_name.c_str(), cid, why);
   pdu::CapsuleResp resp;
@@ -295,7 +293,8 @@ bool NvmfTargetConnection::shed_oldest() {
   if (!found) return false;
   commands_shed_++;
   OAF_TEL(telemetry::bump(tel_.shed));
-  telemetry::flight().note("overload", "shed", victim, exec_.now());
+  OAF_TEL(telemetry::tracer().instant(tel_.track, "overload", "shed", victim,
+                                      exec_.now()));
   OAF_WARN_RL("target %s: shedding cid %u under overload",
               opts_.connection_name.c_str(), victim);
   if (ep_.shm_attached()) {
@@ -311,7 +310,8 @@ bool NvmfTargetConnection::shed_oldest() {
 void NvmfTargetConnection::evict(const std::string& reason) {
   if (evicted_) return;
   evicted_ = true;
-  telemetry::flight().note("overload", "evict", 0, exec_.now());
+  OAF_TEL(telemetry::tracer().instant(tel_.track, "overload", "evict", 0,
+                                      exec_.now()));
   OAF_WARN("target %s: evicting association (%s)",
            opts_.connection_name.c_str(), reason.c_str());
   send_term("evicted: " + reason);
@@ -335,8 +335,8 @@ void NvmfTargetConnection::set_ana_state(pdu::AnaState state,
   OAF_WARN("target %s: advertising ana %s (%s)",
            opts_.connection_name.c_str(), pdu::to_string(state),
            reason.c_str());
-  telemetry::flight().note("multipath", "ana_advertised", log.change_seq,
-                           exec_.now());
+  OAF_TEL(telemetry::tracer().instant(tel_.track, "multipath", "ana_advertised",
+                                      log.change_seq, exec_.now()));
   Pdu pdu;
   pdu.header = log;
   control_.send(std::move(pdu));
@@ -345,7 +345,8 @@ void NvmfTargetConnection::set_ana_state(pdu::AnaState state,
 void NvmfTargetConnection::send_term(const std::string& reason) {
   // TermReq tears down the association — exactly the moment the flight
   // recorder exists for.  Dump before the frame goes out.
-  telemetry::flight().note("resilience", "termreq_sent", 0, exec_.now());
+  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "termreq_sent",
+                                      0, exec_.now()));
   (void)telemetry::flight().dump_now(("target sent TermReq: " + reason).c_str());
   pdu::TermReq term;
   term.from_host = false;
@@ -424,9 +425,6 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
                                     op_span_name(ctx.cmd.opcode), ctx.span,
                                     ctx.arrival, "bytes",
                                     static_cast<i64>(capsule.data_len)));
-  OAF_TEL(telemetry::anomaly().ring().begin(
-      tel_.anomaly_track, "target_io", op_span_name(ctx.cmd.opcode), ctx.span,
-      ctx.arrival, "bytes", static_cast<i64>(capsule.data_len)));
   governor_.record_op(capsule.cmd.is_write());
 
   ssd::Device* device = subsystem_.find(capsule.cmd.nsid);
@@ -662,9 +660,6 @@ void NvmfTargetConnection::start_device_write(u16 cid) {
   OAF_TEL(telemetry::tracer().begin(tel_.track, "target_io", "device",
                                     ctx.span, exec_.now(), "bytes",
                                     static_cast<i64>(ctx.buffer.size())));
-  OAF_TEL(telemetry::anomaly().ring().begin(
-      tel_.anomaly_track, "target_io", "device", ctx.span, exec_.now(),
-      "bytes", static_cast<i64>(ctx.buffer.size())));
   device->submit_write(ctx.cmd, ctx.buffer,
                        [this, alive = alive_, cid, seq = ctx.seq,
                         span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
@@ -672,9 +667,6 @@ void NvmfTargetConnection::start_device_write(u16 cid) {
                          if (!*alive) return;
                          OAF_TEL(telemetry::tracer().end(
                              tel_.track, "target_io", "device", span,
-                             exec_.now()));
-                         OAF_TEL(telemetry::anomaly().ring().end(
-                             tel_.anomaly_track, "target_io", "device", span,
                              exec_.now()));
                          drop_zombie(seq);
                          const auto it2 = inflight_.find(cid);
@@ -701,9 +693,6 @@ void NvmfTargetConnection::handle_read(u16 cid) {
   OAF_TEL(telemetry::tracer().begin(tel_.track, "target_io", "device",
                                     ctx.span, exec_.now(), "bytes",
                                     static_cast<i64>(len)));
-  OAF_TEL(telemetry::anomaly().ring().begin(tel_.anomaly_track, "target_io",
-                                            "device", ctx.span, exec_.now(),
-                                            "bytes", static_cast<i64>(len)));
   device->submit_read(ctx.cmd, ctx.buffer,
                       [this, alive = alive_, cid, seq = ctx.seq,
                        span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
@@ -712,9 +701,6 @@ void NvmfTargetConnection::handle_read(u16 cid) {
                         OAF_TEL(telemetry::tracer().end(tel_.track,
                                                         "target_io", "device",
                                                         span, exec_.now()));
-                        OAF_TEL(telemetry::anomaly().ring().end(
-                            tel_.anomaly_track, "target_io", "device", span,
-                            exec_.now()));
                         drop_zombie(seq);
                         const auto it2 = inflight_.find(cid);
                         if (it2 == inflight_.end() || it2->second.seq != seq) {

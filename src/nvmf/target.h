@@ -331,7 +331,6 @@ class NvmfTargetConnection {
   /// the shared timeline. Null / zero when telemetry is compiled out.
   struct Tel {
     u32 track = 0;
-    u32 anomaly_track = 0;  ///< lane in the always-on anomaly ring
     telemetry::Counter* commands = nullptr;
     telemetry::Counter* r2ts = nullptr;
     telemetry::Counter* bytes_read = nullptr;

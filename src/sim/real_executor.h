@@ -3,15 +3,17 @@
 // Each protocol endpoint (client, target) owns one RealExecutor in tests and
 // examples; channels hand messages across executors with post(), which is the
 // only cross-thread entry point (guarded by a mutex + condition variable).
-// Timers use the same steady clock that now() reports.
+// Timers use the same steady clock that now() reports. Destruction runs
+// every task already in the ready queue before the thread exits; pending
+// timers, and tasks those last tasks post, are dropped.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "common/executor.h"
 #include "telemetry/prof/cost_center.h"
@@ -74,6 +76,31 @@ class RealExecutor final : public Executor {
         .count();
   }
 
+  /// Pop and run the front task with the lock released, feeding the
+  /// reactor-health plane.
+  void run_front(std::unique_lock<std::mutex>& lk) {
+#if OAF_TELEMETRY_COMPILED
+    const u64 runq = ready_.size();
+#endif
+    Fn fn = std::move(ready_.front());
+    ready_.pop_front();
+    running_ = true;
+    lk.unlock();
+#if OAF_TELEMETRY_COMPILED
+    const TimeNs t0 = clock_now();
+#endif
+    fn();
+#if OAF_TELEMETRY_COMPILED
+    // The task may have left a per-I/O cost center stamped; CPU burned
+    // between tasks belongs to the reactor itself.
+    telemetry::prof::set_cost_center(telemetry::prof::CostCenter::kReactor);
+    telemetry::prof::reactor_health().on_task(clock_now() - t0, runq);
+#endif
+    lk.lock();
+    running_ = false;
+    drained_cv_.notify_all();
+  }
+
   void loop() {
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_) {
@@ -84,27 +111,7 @@ class RealExecutor final : public Executor {
         timers_.erase(timers_.begin());
       }
       if (!ready_.empty()) {
-#if OAF_TELEMETRY_COMPILED
-        const u64 runq = ready_.size();
-#endif
-        Fn fn = std::move(ready_.front());
-        ready_.erase(ready_.begin());
-        running_ = true;
-        lk.unlock();
-#if OAF_TELEMETRY_COMPILED
-        const TimeNs t0 = clock_now();
-#endif
-        fn();
-#if OAF_TELEMETRY_COMPILED
-        // The task may have left a per-I/O cost center stamped; CPU burned
-        // between tasks belongs to the reactor itself.
-        telemetry::prof::set_cost_center(
-            telemetry::prof::CostCenter::kReactor);
-        telemetry::prof::reactor_health().on_task(clock_now() - t0, runq);
-#endif
-        lk.lock();
-        running_ = false;
-        drained_cv_.notify_all();
+        run_front(lk);
         continue;
       }
       drained_cv_.notify_all();
@@ -121,6 +128,9 @@ class RealExecutor final : public Executor {
       telemetry::prof::reactor_health().on_idle(clock_now() - idle0);
 #endif
     }
+    // Stopping: every task posted before the stop still runs, so none is
+    // silently lost. What those tasks post in turn is not run.
+    for (size_t n = ready_.size(); n > 0; --n) run_front(lk);
   }
 
   const std::chrono::steady_clock::time_point start_;
@@ -128,7 +138,7 @@ class RealExecutor final : public Executor {
   std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable drained_cv_;
-  std::vector<Fn> ready_;
+  std::deque<Fn> ready_;
   std::multimap<TimeNs, Fn> timers_;
   bool stop_ = false;
   bool running_ = false;

@@ -10,8 +10,7 @@
 
 namespace oaf::telemetry {
 
-AnomalyRecorder::AnomalyRecorder(size_t capacity) : ring_(capacity) {
-  ring_.set_enabled(true);
+AnomalyRecorder::AnomalyRecorder(TraceRecorder& ring) : ring_(ring) {
   captures_total_ = metrics().counter("oaf_anomaly_captures_total",
                                       "Anomaly capture files written");
 }
@@ -44,13 +43,12 @@ std::string AnomalyRecorder::events_json(u64 trace_id, TimeNs from_ns,
   const std::vector<TraceEvent> events = ring_.snapshot();
   JsonWriter w;
   w.begin_array();
-  size_t emitted = 0;
+  size_t neighbours = 0;
   for (const TraceEvent& ev : events) {
     if (ev.name == nullptr || ev.cat == nullptr) continue;  // blank slot
     const bool ours = trace_id != 0 && ev.id == trace_id;
     const bool neighbour = ev.ts_ns >= from_ns && ev.ts_ns <= to_ns;
-    if (!ours && !neighbour) continue;
-    if (emitted++ >= max_events) break;
+    if (!ours && (!neighbour || neighbours++ >= max_events)) continue;
     w.begin_object();
     w.key("name").value(ev.name);
     w.key("cat").value(ev.cat);

@@ -1,17 +1,18 @@
-// Retroactive anomaly capture (Hindsight-style): every I/O's spans buffer in
-// an always-on wait-free trace ring regardless of trace mode; when an I/O
-// breaches its SLO the ring's recent history — the breaching I/O, its
-// neighbours on the same connection, and the peer-side half fetched over the
-// wire by trace_id — is promoted to a durable oaf_anomaly_<n>.json.
+// Retroactive anomaly capture (Hindsight-style): every I/O's spans are in
+// the always-on trace ring (tracer()); when an I/O breaches its SLO the
+// ring's recent history — the breaching I/O, its neighbours on the same
+// connection, and the peer-side half fetched over the wire by trace_id — is
+// promoted to a durable oaf_anomaly_<n>.json.
 //
 // The trade the flight recorder makes for crashes, this makes for tail
 // latency: record everything cheaply all the time, pay the serialization
 // cost only for the handful of I/Os that turn out to matter, after they
-// turn out to matter. Tracing stays off; the evidence survives anyway.
+// turn out to matter. Capture is a filter over the shared ring, not a
+// second copy of the events.
 //
 // Lifecycle:
-//   1. Process start: anomaly() exists, ring enabled, capture DISARMED —
-//      unit tests exercising SLO paths don't litter the filesystem.
+//   1. Process start: anomaly() exists, capture DISARMED — unit tests
+//      exercising SLO paths don't litter the filesystem.
 //   2. Tools call anomaly().configure({dir, ...}) to arm capture.
 //   3. The initiator's completion path asks attribution().record() for the
 //      breach verdict; on breach it calls begin_capture() (rate-limited so
@@ -32,7 +33,7 @@
 #include "common/mutex.h"
 #include "common/types.h"
 #include "telemetry/attribution.h"
-#include "telemetry/trace.h"
+#include "telemetry/telemetry.h"
 
 namespace oaf::telemetry {
 
@@ -43,7 +44,7 @@ struct AnomalyOptions {
   /// queued I/O at once; the first breach captures, the rest are counted
   /// by the SLO metrics but produce no further files until this elapses.
   DurNs min_interval_ns = 5'000'000'000;
-  size_t max_events = 1024;  ///< per-side event cap in one capture
+  size_t max_events = 1024;  ///< per-side cap on neighbour events
 };
 
 /// Everything one capture file records besides the local ring contents.
@@ -64,13 +65,11 @@ struct AnomalyContext {
 
 class AnomalyRecorder {
  public:
-  explicit AnomalyRecorder(size_t capacity = 4096);
+  /// Captures filter `ring`; the process-global recorder reads tracer().
+  explicit AnomalyRecorder(TraceRecorder& ring = tracer());
 
-  /// The always-enabled span buffer. Components mirror per-I/O span
-  /// begin/end plus high-signal instants here (wrapped in OAF_TEL like
-  /// every other instrumentation site).
+  /// The ring captures are filtered from (tracer() for anomaly()).
   TraceRecorder& ring() { return ring_; }
-  u32 track(const std::string& name) { return ring_.track(name); }
 
   /// Arm capture into opts.dir. Idempotent.
   void configure(const AnomalyOptions& opts);
@@ -94,11 +93,11 @@ class AnomalyRecorder {
   std::string capture(const AnomalyContext& ctx);
 
   /// The local ring filtered for one capture: events whose async id matches
-  /// `trace_id` (the I/O's full span set) plus any event inside
-  /// [from_ns, to_ns] (neighbour I/Os, instants). `ts_adjust_ns` is added
-  /// to every emitted ts_ns — the target answers AnomalyReq with
-  /// -offset so its events land on the initiator's clock. Returns a JSON
-  /// array, at most `max_events` entries, oldest first.
+  /// `trace_id` (the I/O's full span set, always kept) plus up to
+  /// `max_events` events inside [from_ns, to_ns] (neighbour I/Os,
+  /// instants). `ts_adjust_ns` is added to every emitted ts_ns — the target
+  /// answers AnomalyReq with -offset so its events land on the initiator's
+  /// clock. Returns a JSON array, oldest first.
   [[nodiscard]] std::string events_json(u64 trace_id, TimeNs from_ns,
                                         TimeNs to_ns, i64 ts_adjust_ns,
                                         size_t max_events) const;
@@ -112,7 +111,7 @@ class AnomalyRecorder {
   void reset_for_test();
 
  private:
-  TraceRecorder ring_;
+  TraceRecorder& ring_;
   mutable Mutex mu_;
   AnomalyOptions opts_ OAF_GUARDED_BY(mu_);
   bool armed_ OAF_GUARDED_BY(mu_) = false;
@@ -122,8 +121,8 @@ class AnomalyRecorder {
   Counter* captures_total_ = nullptr;  ///< set once in the ctor
 };
 
-/// Process-global anomaly recorder (always recording, capture disarmed
-/// until configure()).
+/// Process-global anomaly recorder over tracer() (capture disarmed until
+/// configure()).
 AnomalyRecorder& anomaly();
 
 }  // namespace oaf::telemetry

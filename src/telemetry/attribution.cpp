@@ -10,16 +10,19 @@ namespace oaf::telemetry {
 namespace {
 
 constexpr const char* kStageNames[kStageCount] = {
-    "queue", "encode", "grant", "xfer", "device", "target", "complete",
-    "detour"};
+#define OAF_X(e, name) name,
+    OAF_STAGES(OAF_X)
+#undef OAF_X
+};
 
 constexpr const char* kClassNames[kOpClassCount] = {"read", "write"};
 
 /// Registry histogram names, one per stage (audited: histograms end _ns).
 constexpr const char* kStageMetricNames[kStageCount] = {
-    "oaf_stage_queue_ns",  "oaf_stage_encode_ns", "oaf_stage_grant_ns",
-    "oaf_stage_xfer_ns",   "oaf_stage_device_ns", "oaf_stage_target_ns",
-    "oaf_stage_complete_ns", "oaf_stage_detour_ns"};
+#define OAF_X(e, name) "oaf_stage_" name "_ns",
+    OAF_STAGES(OAF_X)
+#undef OAF_X
+};
 
 void histogram_json(JsonWriter& w, const Histogram& h) {
   w.begin_object();

@@ -46,43 +46,21 @@
 
 namespace oaf::telemetry {
 
-/// Lifecycle stages an I/O's nanoseconds are attributed to. Initiator and
-/// target use overlapping subsets of the same vocabulary so one heatmap
-/// renders both sides.
+/// Lifecycle stages an I/O's nanoseconds are attributed to (OAF_STAGES in
+/// prof/cost_center.h documents each). Initiator and target use overlapping
+/// subsets of the same vocabulary so one heatmap renders both sides; the
+/// profiling plane's cost centers share the values, so StageLedger
+/// transitions stamp the thread-local cost-center token with a plain cast.
 enum class Stage : u8 {
-  kQueue = 0,    ///< submitted but not yet encoding (QD/admission wait)
-  kEncode = 1,   ///< capsule build + payload staging (shm fill / inline copy)
-  kGrant = 2,    ///< capsule sent, waiting for R2T / first response byte
-  kXfer = 3,     ///< data transfer on the wire (minus remote residency)
-  kDevice = 4,   ///< simulated device service time (reported by target)
-  kTarget = 5,   ///< target-side processing outside the device (reported)
-  kComplete = 6, ///< response send / completion processing
-  kDetour = 7,   ///< off-path time: retries, backoff, redrives, aborts
+#define OAF_X(e, name) e = static_cast<u8>(prof::CostCenter::e),
+  OAF_STAGES(OAF_X)
+#undef OAF_X
 };
-inline constexpr size_t kStageCount = 8;
+#define OAF_X(e, name) +1
+inline constexpr size_t kStageCount = 0 OAF_STAGES(OAF_X);
+#undef OAF_X
 
 [[nodiscard]] const char* to_string(Stage s);
-
-// The profiling plane's cost centers mirror the stage vocabulary value for
-// value, so StageLedger transitions can stamp the thread-local cost-center
-// token with a plain cast (prof/cost_center.h documents the extra centers).
-static_assert(static_cast<u8>(prof::CostCenter::kQueue) ==
-              static_cast<u8>(Stage::kQueue));
-static_assert(static_cast<u8>(prof::CostCenter::kEncode) ==
-              static_cast<u8>(Stage::kEncode));
-static_assert(static_cast<u8>(prof::CostCenter::kGrant) ==
-              static_cast<u8>(Stage::kGrant));
-static_assert(static_cast<u8>(prof::CostCenter::kXfer) ==
-              static_cast<u8>(Stage::kXfer));
-static_assert(static_cast<u8>(prof::CostCenter::kDevice) ==
-              static_cast<u8>(Stage::kDevice));
-static_assert(static_cast<u8>(prof::CostCenter::kTarget) ==
-              static_cast<u8>(Stage::kTarget));
-static_assert(static_cast<u8>(prof::CostCenter::kComplete) ==
-              static_cast<u8>(Stage::kComplete));
-static_assert(static_cast<u8>(prof::CostCenter::kDetour) ==
-              static_cast<u8>(Stage::kDetour));
-static_assert(kStageCount <= prof::kCostCenterCount);
 
 /// Op classes with independent SLOs.
 enum class OpClass : u8 { kRead = 0, kWrite = 1 };

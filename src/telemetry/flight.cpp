@@ -25,11 +25,6 @@ void fatal_signal_handler(int signo) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity) {
-  ring_.set_enabled(true);
-  track_ = ring_.track("flight");
-}
-
 void FlightRecorder::install(const FlightOptions& opts) {
   dir_ = opts.dir.empty() ? "." : opts.dir;
   if (opts.fatal_signals && !armed_) {

@@ -1,16 +1,13 @@
-// Always-on flight recorder: a small, compiled-in, drops-oldest trace ring
-// that survives even when full tracing is disabled, dumped to a postmortem
-// JSON file when the process dies badly.
-//
-// The main TraceRecorder ring (telemetry/trace.h) is opt-in and sized for
-// offline analysis; the flight ring is its black-box sibling — always
-// recording the *cheap* events that matter for a postmortem (the resilience
-// ladder's deadline/abort/demote/reconnect instants, TermReqs, escalation
-// exhaustion) so the last seconds before a crash are reconstructible.
+// Flight recorder: on a crash, a TermReq or escalation-ladder exhaustion,
+// write a snapshot of the always-on trace ring (tracer()) to a postmortem
+// JSON file. The recorder owns no events: its history is the ring's last
+// kTraceRingSlots events of any kind — spans, the resilience ladder's
+// deadline/abort/demote/reconnect instants, TermReqs, overload and multipath
+// instants — so the last moments before a crash are reconstructible.
 //
 // Lifecycle:
-//   1. Process start: flight() exists, ring enabled, dumping DISARMED —
-//      unit tests that exercise abort paths don't litter the filesystem.
+//   1. Process start: flight() exists, dumping DISARMED — unit tests that
+//      exercise abort paths don't litter the filesystem.
 //   2. Tools call flight().install({...}) to arm dumping (and optionally
 //      hook fatal signals: SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL).
 //   3. On a fatal signal, a received/sent TermReq, or escalation-ladder
@@ -28,7 +25,7 @@
 
 #include <string>
 
-#include "telemetry/trace.h"
+#include "telemetry/telemetry.h"
 
 namespace oaf::telemetry {
 
@@ -39,16 +36,9 @@ struct FlightOptions {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity = 1024);
-
-  /// The always-enabled ring. Mirror cheap, high-signal events here.
-  TraceRecorder& ring() { return ring_; }
-
-  /// Convenience: record an instant on the flight track.
-  void note(const char* cat, const char* name, u64 id, TimeNs now,
-            const char* arg_name = nullptr, i64 arg = 0) {
-    ring_.instant(track_, cat, name, id, now, arg_name, arg);
-  }
+  /// Dumps snapshot `ring`; the process-global recorder reads tracer().
+  explicit FlightRecorder(const TraceRecorder& ring = tracer())
+      : ring_(ring) {}
 
   /// Arm dumping (and optionally fatal-signal hooks). Idempotent; the
   /// first caller wins the signal-handler installation.
@@ -60,14 +50,13 @@ class FlightRecorder {
   std::string dump_now(const char* reason);
 
  private:
-  TraceRecorder ring_;
-  u32 track_ = 0;
+  const TraceRecorder& ring_;
   std::string dir_ = ".";
   bool armed_ = false;
   std::atomic<bool> dumping_{false};
 };
 
-/// Process-global flight recorder (always recording, dump disarmed until
+/// Process-global flight recorder over tracer() (dump disarmed until
 /// install()).
 FlightRecorder& flight();
 

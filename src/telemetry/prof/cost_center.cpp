@@ -5,28 +5,18 @@ namespace oaf::telemetry::prof {
 namespace internal {
 // Static (non-dynamic) initializer: valid before any constructor runs, so
 // the allocation interposer may read it during static initialization.
-thread_local u32 g_cost_center = static_cast<u32>(CostCenter::kOther);
-thread_local CostScope* g_scope_top = nullptr;
+constinit thread_local u32 g_cost_center =
+    static_cast<u32>(CostCenter::kOther);
+constinit thread_local CostScope* g_scope_top = nullptr;
 }  // namespace internal
 
 const char* to_string(CostCenter c) {
   switch (c) {
-    case CostCenter::kQueue:
-      return "queue";
-    case CostCenter::kEncode:
-      return "encode";
-    case CostCenter::kGrant:
-      return "grant";
-    case CostCenter::kXfer:
-      return "xfer";
-    case CostCenter::kDevice:
-      return "device";
-    case CostCenter::kTarget:
-      return "target";
-    case CostCenter::kComplete:
-      return "complete";
-    case CostCenter::kDetour:
-      return "detour";
+#define OAF_X(e, name) \
+  case CostCenter::e:  \
+    return name;
+    OAF_STAGES(OAF_X)
+#undef OAF_X
     case CostCenter::kSubmit:
       return "submit";
     case CostCenter::kReactor:

@@ -2,8 +2,9 @@
 //
 // The profiling plane (DESIGN.md §15) attributes three currencies — CPU
 // samples, TSC cycles, and heap allocations — to the same small set of
-// centers. The first eight values mirror telemetry::Stage one-to-one so a
-// StageLedger::enter() can stamp the token for free; the remainder cover
+// centers. The first eight values are telemetry::Stage (both enums are
+// generated from OAF_STAGES) so a StageLedger::enter() can stamp the token
+// for free; the remainder cover
 // work that happens outside a per-I/O stage (submission path, reactor
 // bookkeeping, idle waits, control plane).
 //
@@ -21,32 +22,52 @@
 
 namespace oaf::telemetry::prof {
 
+/// The per-I/O stage vocabulary, declared once: telemetry::Stage and the
+/// first values of CostCenter are generated from it, value for value.
+///   X(enumerator, name)
+///   queue     submitted but not yet encoding (QD/admission wait)
+///   encode    capsule build + payload staging (shm fill / inline copy)
+///   grant     capsule sent, waiting for R2T / first response byte
+///   xfer      data transfer on the wire (minus remote residency)
+///   device    simulated device service time (reported by target)
+///   target    target-side processing outside the device (reported)
+///   complete  response send / completion processing
+///   detour    off-path time: retries, backoff, redrives, aborts
+#define OAF_STAGES(X)      \
+  X(kQueue, "queue")       \
+  X(kEncode, "encode")     \
+  X(kGrant, "grant")       \
+  X(kXfer, "xfer")         \
+  X(kDevice, "device")     \
+  X(kTarget, "target")     \
+  X(kComplete, "complete") \
+  X(kDetour, "detour")
+
 enum class CostCenter : u8 {
-  // 0..7 mirror telemetry::Stage (static_asserted in attribution.h).
-  kQueue = 0,
-  kEncode = 1,
-  kGrant = 2,
-  kXfer = 3,
-  kDevice = 4,
-  kTarget = 5,
-  kComplete = 6,
-  kDetour = 7,
+#define OAF_X(e, name) e,
+  OAF_STAGES(OAF_X)
+#undef OAF_X
   // Centers with no Stage counterpart.
-  kSubmit = 8,   ///< initiator submit fast path (user call -> wire)
-  kReactor = 9,  ///< executor loop bookkeeping between tasks
-  kIdle = 10,    ///< blocked in cv/poll waits
-  kControl = 11, ///< connect/login/admin, reconfiguration
-  kOther = 12,   ///< anything not yet scoped (the default)
+  kSubmit,   ///< initiator submit fast path (user call -> wire)
+  kReactor,  ///< executor loop bookkeeping between tasks
+  kIdle,     ///< blocked in cv/poll waits
+  kControl,  ///< connect/login/admin, reconfiguration
+  kOther,    ///< anything not yet scoped (the default)
 };
 
-inline constexpr std::size_t kCostCenterCount = 13;
+inline constexpr std::size_t kCostCenterCount =
+    static_cast<std::size_t>(CostCenter::kOther) + 1;
 
 const char* to_string(CostCenter c);
 
 namespace internal {
 // Not an atomic on purpose: stores happen on the owning thread and the only
 // concurrent reader (the SIGPROF handler) runs on that same thread.
-extern thread_local u32 g_cost_center;
+// constinit: other translation units then touch the word directly instead
+// of through a TLS wrapper that first tests for a dynamic initializer —
+// one less branch per access, nothing to call from a signal handler or
+// from inside malloc.
+extern thread_local constinit u32 g_cost_center;
 }  // namespace internal
 
 inline void set_cost_center(CostCenter c) {
@@ -140,7 +161,7 @@ CycleLedger& cycle_ledger();
 class CostScope;
 namespace internal {
 // Innermost armed CostScope on this thread (exclusive-time bookkeeping).
-extern thread_local CostScope* g_scope_top;
+extern thread_local constinit CostScope* g_scope_top;
 }  // namespace internal
 
 /// RAII scope: stamps the thread's cost-center token (restoring the previous

@@ -1,16 +1,11 @@
 // Telemetry entry points: process-global registry/recorder singletons and the
 // compile-out gate used by instrumentation sites.
 //
-// Two independent switches (DESIGN.md §9):
-//   - Compile time: building with -DOAF_TELEMETRY_OFF (CMake option
-//     OAF_TELEMETRY=OFF) removes every OAF_TEL(...) call site from the
-//     binary. The telemetry *types* still compile either way, so tests and
-//     tools that use the API directly keep working.
-//   - Runtime: the TraceRecorder is additionally gated by set_enabled() — a
-//     single relaxed load per record when tracing is off. Counters/gauges
-//     stay live whenever compiled in (a relaxed increment is cheaper than a
-//     branch-plus-increment would save, and the registry is the source of
-//     truth for the target's stats dumps).
+// One switch (DESIGN.md §9): building with -DOAF_TELEMETRY_OFF (CMake option
+// OAF_TELEMETRY=OFF) removes every OAF_TEL(...) call site from the binary.
+// The telemetry *types* still compile either way, so tests and tools that
+// use the API directly keep working. Compiled in, everything is live: the
+// trace ring records every event, and counters/gauges count.
 #pragma once
 
 #include "telemetry/metrics.h"
@@ -41,7 +36,9 @@ namespace oaf::telemetry {
 /// (construction time) and cache the returned pointers.
 MetricsRegistry& metrics();
 
-/// Process-global trace recorder (disabled until set_enabled(true)).
+/// Process-global trace ring, always recording (kTraceRingSlots events). The
+/// only production TraceRecorder: exports, the flight dump and anomaly
+/// capture all read it.
 TraceRecorder& tracer();
 
 /// Null-safe counter bump for cached handles that may be absent when

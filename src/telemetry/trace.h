@@ -1,6 +1,11 @@
 // Per-I/O span recorder: a bounded lock-free ring of trace events exportable
 // as Chrome trace_event JSON (chrome://tracing, Perfetto).
 //
+// The process has one production ring, tracer() (telemetry.h), and it is
+// always on: --trace-out and `oaf_stat trace` export it, the flight recorder
+// dumps a snapshot of it, and anomaly capture filters it by trace id. Each
+// event is written once; every view is derived from the ring.
+//
 // One I/O's lifecycle — submit → capsule encode → R2T/in-capsule decision →
 // shm slot acquire/park → data transfer → completion, plus abort/retry/
 // reconnect detours — renders as nested/async spans across the initiator and
@@ -86,20 +91,17 @@ inline void append_us(std::string& out, i64 ns) {
 
 }  // namespace detail
 
+/// Slots in the production ring: the last 65 536 events of any kind.
+inline constexpr size_t kTraceRingSlots = size_t{1} << 16;
+
 template <typename Policy = StdAtomicsPolicy>
 class BasicTraceRecorder {
   template <typename U>
   using Atomic = typename Policy::template atomic<U>;
 
  public:
-  explicit BasicTraceRecorder(size_t capacity = 1 << 16)
+  explicit BasicTraceRecorder(size_t capacity = kTraceRingSlots)
       : ring_(capacity > 0 ? capacity : 1) {}
-
-  /// Runtime toggle. record() is a single relaxed load when disabled.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   /// Register (or find) a display lane. Typical names: "init:conn0",
   /// "target:conn0", "af:client". Cheap enough for per-connection setup,
@@ -114,7 +116,6 @@ class BasicTraceRecorder {
   }
 
   void record(const TraceEvent& ev) {
-    if (!enabled()) return;
     const u64 idx = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = ring_[idx % ring_.size()];
     // Sequence protocol: the record for ring index i is published when
@@ -320,7 +321,6 @@ class BasicTraceRecorder {
     TraceEvent ev;
   };
 
-  Atomic<bool> enabled_{false};
   Atomic<u64> head_{0};
   Atomic<u64> collisions_{0};
   std::vector<Slot> ring_;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
 
 namespace oaf::sim {
 namespace {
@@ -69,6 +72,24 @@ TEST(RealExecutorTest, CrossThreadPostsSafe) {
   for (auto& t : threads) t.join();
   ex.drain();
   EXPECT_EQ(count.load(), 1000);
+}
+
+TEST(RealExecutorTest, DestructionRunsEveryPostedTask) {
+  constexpr int kTasks = 64;
+  std::atomic<int> runs{0};
+  {
+    RealExecutor ex;
+    // The first task holds the reactor, so the rest are still queued when
+    // the destructor sets the stop flag.
+    ex.post([&runs] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      runs.fetch_add(1, std::memory_order_relaxed);
+    });
+    for (int i = 1; i < kTasks; ++i) {
+      ex.post([&runs] { runs.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
+  EXPECT_EQ(runs.load(), kTasks);
 }
 
 }  // namespace

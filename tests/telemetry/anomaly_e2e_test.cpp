@@ -79,7 +79,9 @@ struct Harness {
 class AnomalyE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "anomaly_e2e";
+    // One directory per process: ctest -j runs these cases side by side.
+    dir_ = ::testing::TempDir() + "anomaly_e2e_" +
+           std::to_string(::getpid());
     (void)std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str());
     telemetry::attribution().reset_for_test();
     telemetry::anomaly().reset_for_test();
@@ -248,7 +250,7 @@ TEST(AnomalyRecorderTest, ArmedPollsRaceConfigureWithoutTearing) {
   // annotation pass (OAF_GUARDED_BY(mu_)) flagged. armed()/captures() now
   // lock; this drives the exact read-vs-write overlap under TSan and
   // checks the end state is coherent either way.
-  telemetry::AnomalyRecorder rec(64);
+  telemetry::AnomalyRecorder rec;
   std::atomic<bool> done{false};
   std::atomic<u64> armed_seen{0};
   std::vector<std::thread> pollers;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -283,7 +285,9 @@ class AnomalyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     anomaly().reset_for_test();
-    dir_ = ::testing::TempDir() + "anomaly_test";
+    // One directory per process: ctest -j runs these cases side by side.
+    dir_ = ::testing::TempDir() + "anomaly_test_" +
+           std::to_string(::getpid());
     std::remove((dir_ + "/oaf_anomaly_0.json").c_str());
     std::remove((dir_ + "/oaf_anomaly_1.json").c_str());
   }
@@ -316,12 +320,13 @@ TEST_F(AnomalyTest, RateLimitGateSpacesClaims) {
 }
 
 TEST_F(AnomalyTest, EventsJsonFiltersByIdAndWindowAndAdjustsTimestamps) {
-  AnomalyRecorder rec(64);
-  const u32 t = rec.track("test");
-  rec.ring().begin(t, "io", "read", /*id=*/42, /*now=*/1000);
-  rec.ring().instant(t, "io", "neighbor", /*id=*/7, /*now=*/1500);
-  rec.ring().end(t, "io", "read", 42, 2000);
-  rec.ring().instant(t, "io", "faraway", /*id=*/8, /*now=*/999'999);
+  TraceRecorder ring(64);
+  AnomalyRecorder rec(ring);
+  const u32 t = ring.track("test");
+  ring.begin(t, "io", "read", /*id=*/42, /*now=*/1000);
+  ring.instant(t, "io", "neighbor", /*id=*/7, /*now=*/1500);
+  ring.end(t, "io", "read", 42, 2000);
+  ring.instant(t, "io", "faraway", /*id=*/8, /*now=*/999'999);
 
   // id 42 matches outside the window; neighbor falls inside it; faraway is
   // neither and must be excluded. ts_adjust shifts everything by +10.
@@ -339,9 +344,9 @@ TEST_F(AnomalyTest, EventsJsonFiltersByIdAndWindowAndAdjustsTimestamps) {
 
 TEST_F(AnomalyTest, CaptureWritesBothHalvesAndTheLedger) {
   arm();
-  const u32 t = anomaly().track("capture-test");
-  anomaly().ring().begin(t, "io", "read", /*id=*/77, /*now=*/5000);
-  anomaly().ring().end(t, "io", "read", 77, 9000);
+  const u32 t = tracer().track("capture-test");
+  tracer().begin(t, "io", "read", /*id=*/77, /*now=*/5000);
+  tracer().end(t, "io", "read", 77, 9000);
 
   const i64 idx = anomaly().begin_capture(10'000);
   ASSERT_EQ(idx, 0);

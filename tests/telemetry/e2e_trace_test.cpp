@@ -72,9 +72,7 @@ class E2ETraceTest : public ::testing::Test {
       GTEST_SKIP() << "instrumentation compiled out (OAF_TELEMETRY=OFF)";
     }
     telemetry::tracer().reset();
-    telemetry::tracer().set_enabled(true);
   }
-  void TearDown() override { telemetry::tracer().set_enabled(false); }
 };
 
 TEST_F(E2ETraceTest, CoLocatedWriteSpansBothSidesOfTheTimeline) {

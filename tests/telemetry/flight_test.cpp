@@ -1,6 +1,8 @@
-// Flight recorder: always recording, dump disarmed until install(), and a
-// fatal signal in an armed process leaves a parseable postmortem behind
-// while the process still dies with the original signal.
+// Flight recorder: a dump is a snapshot of the trace ring, disarmed until
+// install(), and a fatal signal in an armed process leaves a parseable
+// postmortem behind while the process still dies with the original signal.
+// The unit cases give the recorder its own small ring; the death test uses
+// the process-global one.
 #include "telemetry/flight.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "common/json_parse.h"
+#include "telemetry/telemetry.h"
 
 namespace oaf::telemetry {
 namespace {
@@ -37,16 +40,19 @@ std::string slurp(const fs::path& path) {
 }
 
 TEST(FlightRecorderTest, DisarmedDumpWritesNothing) {
-  FlightRecorder fr(16);
-  fr.note("resilience", "deadline_fired", 7, 1000);
+  TraceRecorder ring(16);
+  FlightRecorder fr(ring);
+  ring.instant(ring.track("flight"), "resilience", "deadline_fired", 7, 1000);
   EXPECT_FALSE(fr.armed());
   EXPECT_EQ(fr.dump_now("unit tests must not litter the filesystem"), "");
 }
 
 TEST(FlightRecorderTest, DumpWritesParseablePostmortem) {
   const std::string dir = make_temp_dir("dump");
-  FlightRecorder fr(16);
-  fr.note("resilience", "abort_sent", 42, 2000, "cid", 7);
+  TraceRecorder ring(16);
+  FlightRecorder fr(ring);
+  ring.instant(ring.track("flight"), "resilience", "abort_sent", 42, 2000,
+               "cid", 7);
   fr.install({dir, /*fatal_signals=*/false});
   ASSERT_TRUE(fr.armed());
 
@@ -71,12 +77,21 @@ TEST(FlightRecorderTest, DumpWritesParseablePostmortem) {
 }
 
 TEST(FlightRecorderTest, RingDropsOldestBeyondCapacity) {
-  FlightRecorder fr(4);
+  TraceRecorder ring(4);
+  FlightRecorder fr(ring);
   for (u64 i = 0; i < 10; ++i) {
-    fr.note("t", "e", i, static_cast<TimeNs>(i));
+    ring.instant(0, "t", "e", i, static_cast<TimeNs>(i));
   }
-  EXPECT_EQ(fr.ring().dropped(), 6u);
-  EXPECT_EQ(fr.ring().size(), 4u);
+  EXPECT_EQ(ring.dropped(), 6u);
+  EXPECT_EQ(ring.size(), 4u);
+  // The dump holds what the ring retained: its last four events.
+  const std::string dir = make_temp_dir("drops");
+  fr.install({dir, /*fatal_signals=*/false});
+  auto parsed = json_parse(slurp(fr.dump_now("drops")));
+  ASSERT_TRUE(parsed) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value()["dropped_events"].as_i64(), 6);
+  EXPECT_EQ(parsed.value()["trace"]["traceEvents"].items().size(),
+            1u + 4u);  // process_name metadata + four events
 }
 
 // End-to-end injected fault: the death-test child arms the GLOBAL recorder
@@ -96,7 +111,8 @@ TEST(FlightRecorderDeathTest, FatalSignalDumpsThenDies) {
   fs::create_directories(dir);
   EXPECT_EXIT(
       {
-        flight().note("resilience", "about_to_crash", 1, 123);
+        tracer().instant(tracer().track("flight"), "resilience",
+                         "about_to_crash", 1, 123);
         flight().install({dir, /*fatal_signals=*/true});
         std::raise(SIGABRT);
       },

@@ -10,7 +10,7 @@
 //
 // Observability: --json replaces the tables with one machine-readable
 // RunStats object on stdout (human banners go to stderr); --trace-out=FILE
-// records per-I/O spans and writes a Chrome trace_event JSON for
+// writes the always-on per-I/O span ring as a Chrome trace_event JSON for
 // chrome://tracing or https://ui.perfetto.dev; --metrics-json=FILE dumps the
 // process metrics registry.
 #include <atomic>
@@ -67,7 +67,7 @@ struct Options {
   u64 kill_after_ms = 500;     // when the kill fires, relative to run start
   // observability
   bool json = false;           // one RunStats JSON object on stdout
-  std::string trace_out;       // Chrome trace_event JSON path; "" = no tracing
+  std::string trace_out;       // Chrome trace_event JSON path; "" = no export
   std::string metrics_json;    // metrics registry JSON path; "" = none
   int stat_port = -1;          // live introspection endpoint; -1 off, 0 = ephemeral
   std::string flight_dir;      // arm the flight recorder into DIR; "" = off
@@ -260,22 +260,9 @@ std::string stats_json(const Options& opts, const bench::WorkloadSpec& spec,
   w.end_object();
   w.end_object();
   w.key("resilience").begin_object();
-  w.key("reconnects").value(rc.reconnects);
-  w.key("reconnect_failures").value(rc.reconnect_failures);
-  w.key("commands_retried").value(rc.commands_retried);
-  w.key("keepalive_sent").value(rc.keepalive_sent);
-  w.key("keepalive_misses").value(rc.keepalive_misses);
-  w.key("shm_demotions").value(rc.shm_demotions);
-  w.key("digest_errors").value(rc.digest_errors);
-  w.key("deadlines_expired").value(rc.deadlines_expired);
-  w.key("aborts_sent").value(rc.aborts_sent);
-  w.key("aborts_succeeded").value(rc.aborts_succeeded);
-  w.key("aborts_failed").value(rc.aborts_failed);
-  w.key("commands_aborted").value(rc.commands_aborted);
-  w.key("peer_misbehavior").value(rc.peer_misbehavior);
-  w.key("queue_full_received").value(rc.queue_full_received);
-  w.key("queue_full_retries").value(rc.queue_full_retries);
-  w.key("admission_rejects").value(rc.admission_rejects);
+  for (const nvmf::ResilienceEventInfo& ev : nvmf::kResilienceEvents) {
+    w.key(ev.key).value(rc.*ev.field);
+  }
   w.end_object();
   w.key("multipath").begin_object();
   w.key("paths").value(static_cast<u64>(group.path_count()));
@@ -312,7 +299,6 @@ int main(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, opts)) return 2;
 
-  if (!opts.trace_out.empty()) telemetry::tracer().set_enabled(true);
   if (!opts.flight_dir.empty()) {
     telemetry::flight().install({opts.flight_dir, /*fatal_signals=*/true});
   }
@@ -659,22 +645,9 @@ int main(int argc, char** argv) {
   const nvmf::ResilienceCounters& rc = client.resilience();
   Table r("resilience");
   r.header({"counter", "value"});
-  r.row({"reconnects", std::to_string(rc.reconnects)});
-  r.row({"reconnect failures", std::to_string(rc.reconnect_failures)});
-  r.row({"commands retried", std::to_string(rc.commands_retried)});
-  r.row({"keepalives sent", std::to_string(rc.keepalive_sent)});
-  r.row({"keepalive misses", std::to_string(rc.keepalive_misses)});
-  r.row({"shm demotions", std::to_string(rc.shm_demotions)});
-  r.row({"digest errors", std::to_string(rc.digest_errors)});
-  r.row({"deadlines expired", std::to_string(rc.deadlines_expired)});
-  r.row({"aborts sent", std::to_string(rc.aborts_sent)});
-  r.row({"aborts succeeded", std::to_string(rc.aborts_succeeded)});
-  r.row({"aborts failed", std::to_string(rc.aborts_failed)});
-  r.row({"commands aborted", std::to_string(rc.commands_aborted)});
-  r.row({"peer misbehavior", std::to_string(rc.peer_misbehavior)});
-  r.row({"queue-full received", std::to_string(rc.queue_full_received)});
-  r.row({"queue-full retries", std::to_string(rc.queue_full_retries)});
-  r.row({"admission rejects", std::to_string(rc.admission_rejects)});
+  for (const nvmf::ResilienceEventInfo& ev : nvmf::kResilienceEvents) {
+    r.row({ev.label, std::to_string(rc.*ev.field)});
+  }
   r.print();
 
   if (group.path_count() > 1) {

@@ -13,12 +13,12 @@
 // Observability: SIGUSR1 dumps the metrics registry (Prometheus text — shm
 // slot occupancy, resilience counters, per-command totals) to stderr at the
 // next poll tick; --stats-interval-ms does the same periodically.
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -49,7 +49,7 @@ struct Options {
   u64 orphan_sweep_ms = 0;  // stuck window for no-KATO assocs; 0 = no sweep
   u64 stats_interval_ms = 0;  // periodic metrics dump to stderr; 0 = off
   int stat_port = -1;         // live introspection endpoint; -1 off, 0 = ephemeral
-  std::string trace_out;      // Chrome trace_event JSON path; "" = no tracing
+  std::string trace_out;      // Chrome trace_event JSON path; "" = no export
   std::string flight_dir;     // arm the flight recorder into DIR; "" = off
   // Overload protection (DESIGN.md §12); all off by default.
   u64 max_conns = 0;          // connect-time admission cap; 0 = unlimited
@@ -77,6 +77,19 @@ struct Options {
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void on_sigusr1(int) { g_dump_requested = 1; }
+
+/// Run `fn` on the executor thread and wait for it. Service and connection
+/// state belongs to that thread: socket readers already post PDUs there.
+template <typename Fn>
+void run_on(sim::RealExecutor& exec, Fn&& fn) {
+  std::promise<void> done;
+  std::future<void> ran = done.get_future();
+  exec.post([&] {
+    fn();
+    done.set_value();
+  });
+  ran.wait();
+}
 
 void dump_metrics(const char* why) {
   const std::string text = telemetry::metrics().to_prometheus();
@@ -221,7 +234,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!opts.trace_out.empty()) telemetry::tracer().set_enabled(true);
   if (!opts.flight_dir.empty()) {
     telemetry::flight().install({opts.flight_dir, /*fatal_signals=*/true});
   }
@@ -253,14 +265,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "oaf_target: profiler: %s\n",
                    st.to_string().c_str());
     }
-    std::atomic<bool> registered{false};
-    exec.post([&] {
-      (void)prof.register_this_thread("reactor");
-      registered = true;
-    });
-    while (!registered.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    run_on(exec, [&] { (void)prof.register_this_thread("reactor"); });
     telemetry::prof::ProfilerOptions popts;
     popts.sample_hz = opts.profile_hz;
     if (auto st = prof.start(popts); !st) {
@@ -313,9 +318,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::string conn_name = opts.conn_prefix + std::to_string(i);
-    nvmf::NvmfTargetConnection* conn =
-        service.accept(std::move(accepted).take(), conn_name);
-    if (conn->connect_rejected()) {
+    std::unique_ptr<net::MsgChannel> channel = std::move(accepted).take();
+    bool rejected = false;
+    run_on(exec, [&] {
+      rejected = service.accept(std::move(channel), conn_name)
+                     ->connect_rejected();
+    });
+    if (rejected) {
       // A dial past --max-conns got its ICResp{admitted=false} verdict; it
       // must not consume a --conns slot, or the listener would go dark
       // before the rejected client's re-dial can be admitted.
@@ -344,14 +353,7 @@ int main(int argc, char** argv) {
     });
     stat.handle("conns", [&exec, &service]() -> std::string {
       std::string out;
-      std::atomic<bool> ready{false};
-      exec.post([&] {
-        out = service.conns_json();
-        ready = true;
-      });
-      while (!ready.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      run_on(exec, [&] { out = service.conns_json(); });
       return out;
     });
     if (auto st = stat.start(static_cast<u16>(opts.stat_port)); !st) {
@@ -369,7 +371,6 @@ int main(int argc, char** argv) {
   u64 commands = 0;
   auto last_dump = std::chrono::steady_clock::now();
   for (;;) {
-    std::atomic<bool> polled{false};
     std::size_t active = 0;
     const char* why = nullptr;
     if (g_dump_requested != 0) {
@@ -382,18 +383,14 @@ int main(int argc, char** argv) {
         why = "periodic";
       }
     }
-    exec.post([&] {
+    run_on(exec, [&] {
       service.reap_expired();
       service.sweep_orphan_slots();
       service.overload_tick();
       active = service.active();
       commands = service.commands_served();
       if (why != nullptr) dump_metrics(why);
-      polled = true;
     });
-    while (!polled.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
     if (active == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
